@@ -52,7 +52,7 @@ fn headline_phase(
         }
         Workload::IngestReload => {
             let (run, ok, ingested) = ingest_phase(ctx, secs, generation, tracer)?;
-            (run, ok, ingested.events as f64 / ingested.active_s, false)
+            (run, ok, ingested.events_per_s(), false)
         }
     })
 }
@@ -134,7 +134,10 @@ pub fn run_traced(
     let profiles: Vec<usize> = run
         .records
         .iter()
-        .flat_map(|r| workloads::request_profiles(&ctx.streams, workload, r.k))
+        .flat_map(|r| {
+            let (i, j) = ctx.streams.hot_pair(r.k);
+            [i, j]
+        })
         .collect();
     let sample = first_distinct(&profiles, SAMPLE);
 
@@ -143,7 +146,7 @@ pub fn run_traced(
         .records
         .iter()
         .take(SAMPLE)
-        .map(|r| workloads::request(&ctx.streams, workload, r.k))
+        .map(|r| workloads::request(&ctx.streams, r.k))
         .collect();
     let limits = Limits::default();
     let parse_us = per_call_us(tracer, "serve.http.parse", MICRO_CALLS, |k| {

@@ -172,7 +172,7 @@ fn report_end_to_end(
     t: &workloads::Tally,
 ) {
     let tput = match workload {
-        Workload::JudgeHot => "judge_saturation_rps",
+        Workload::JudgeHot => "judge_closed_loop_rps",
         Workload::IngestReload => "ingest_events_per_s",
     };
     eprintln!("{}:", workload.name());
